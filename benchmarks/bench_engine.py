@@ -6,10 +6,9 @@ failures) and ``continual`` (trace + a continual interstitial project
 under a periodic scheduler wake cycle, the production operating mode)
 — and measures engine throughput in events/sec for:
 
-* the incremental :class:`~repro.sched.QueueScheduler` (DESIGN §13),
+* the incremental :class:`~repro.sched.QueueScheduler` (DESIGN §13), and
 * the retained naive :class:`~repro.sched.ReferenceQueueScheduler`
-  (the pre-overhaul formulation, kept as the behavioral oracle), and
-* the calendar event queue vs the binary heap on the busiest scenario.
+  (the pre-overhaul formulation, kept as the behavioral oracle).
 
 Event counts are deterministic per (seed, scale, scenario); only the
 wall-clock varies, so each configuration reports the best of
@@ -53,7 +52,6 @@ from repro.sched import (
     UserFairSharePolicy,
     UserGroupFairSharePolicy,
 )
-from repro.sim.engine import Engine, SimConfig
 from repro.workload.synthetic import synthetic_trace_for
 
 SEED = 20260808
@@ -155,36 +153,6 @@ def _measure(
     return events, best
 
 
-def _measure_event_queues(scale: float) -> Dict[str, Dict[str, float]]:
-    """Heap vs calendar queue on the event-densest scenario
-    (faulted blue_mountain), incremental scheduler on both sides."""
-    machine_name = "blue_mountain"
-    machine = preset(machine_name)
-    trace = _trace(machine_name, "faulted", scale)
-    out: Dict[str, Dict[str, float]] = {}
-    for event_queue in ("heap", "calendar"):
-        best = math.inf
-        events = 0
-        for _ in range(REPEATS):
-            engine = Engine(
-                machine=machine,
-                scheduler=_scheduler(machine_name, machine, QueueScheduler),
-                trace=[job.copy_unscheduled() for job in trace],
-                faults=_faults("faulted"),
-                config=SimConfig(event_queue=event_queue),
-            )
-            t0 = perf_counter()
-            result = engine.run()
-            best = min(best, perf_counter() - t0)
-            events = result.counters.events
-        out[event_queue] = {
-            "events": events,
-            "seconds": round(best, 4),
-            "events_per_sec": round(events / best, 1),
-        }
-    return out
-
-
 def _measure_section(scale: float) -> Dict[str, object]:
     scenarios: Dict[str, Dict[str, float]] = {}
     for machine_name in MACHINES:
@@ -214,11 +182,7 @@ def _measure_section(scale: float) -> Dict[str, object]:
                 f"ref {ref_events / ref_s:>9.0f} ev/s  "
                 f"x{ref_s / inc_s:.2f}"
             )
-    return {
-        "scale": scale,
-        "scenarios": scenarios,
-        "event_queue": _measure_event_queues(scale),
-    }
+    return {"scale": scale, "scenarios": scenarios}
 
 
 def run_bench(out_path: Path, quick_only: bool = False) -> Dict[str, object]:

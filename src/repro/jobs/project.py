@@ -169,9 +169,18 @@ class InterstitialProject:
         Interstitial runtimes have zero variance (paper §4) and the
         controller knows them exactly, so ``estimate == runtime``.
         """
+        return self.make_jobs(machine, 1, submit_time)[0]
+
+    def make_jobs(
+        self, machine: "Machine", count: int, submit_time: float = 0.0
+    ) -> List[Job]:
+        """Create ``count`` identical interstitial jobs for ``machine``,
+        validating the spec against the machine once per call."""
         self.validate_for(machine)
+        if count <= 0:
+            return []
         runtime = self.runtime_on(machine)
-        return Job(
+        first = Job(
             cpus=self.cpus_per_job,
             runtime=runtime,
             estimate=runtime,
@@ -180,12 +189,7 @@ class InterstitialProject:
             group=self.group,
             kind=JobKind.INTERSTITIAL,
         )
-
-    def make_jobs(
-        self, machine: "Machine", count: int, submit_time: float = 0.0
-    ) -> List[Job]:
-        """Create ``count`` identical interstitial jobs for ``machine``."""
-        return [self.make_job(machine, submit_time) for _ in range(count)]
+        return [first] + first.clones(count - 1)
 
     def iter_jobs(
         self, machine: "Machine", submit_time: float = 0.0

@@ -13,7 +13,7 @@ from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.outages import Outage, OutageSchedule
 from repro.sim.profile import CapacityProfile, StepFunction
 from repro.sim.results import SimResult, UsageSample
-from repro.sim.state import ClusterState, RunningJob
+from repro.sim.state import ClusterState, Cohort, RunningJob
 
 __all__ = [
     "Engine",
@@ -28,5 +28,6 @@ __all__ = [
     "SimResult",
     "UsageSample",
     "ClusterState",
+    "Cohort",
     "RunningJob",
 ]

@@ -13,7 +13,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from repro.errors import SimulationError
 
@@ -33,7 +33,8 @@ class EventKind(enum.IntEnum):
     FAILURE = 1
     #: Crashed nodes return to service (payload: repaired cpus).
     REPAIR = 2
-    #: A running job completes (payload: the job).
+    #: Running jobs complete (payload: their
+    #: :class:`~repro.sim.state.Cohort`).
     FINISH = 3
     #: A job arrives in the queue (payload: the job).
     SUBMIT = 4
@@ -97,10 +98,8 @@ class EventQueue:
         """Pop *all* events sharing the earliest timestamp.
 
         Processing same-time events as a batch lets the engine run a
-        single scheduling pass per simulated instant, which is both what
-        a real scheduler does and the main efficiency lever when an
-        interstitial batch of hundreds of identical jobs finishes at the
-        same moment.
+        single scheduling pass per simulated instant, which is what a
+        real scheduler does.
         """
         heap = self._heap
         if not heap:
@@ -110,102 +109,4 @@ class EventQueue:
         time = first[0]
         while heap and heap[0][0] == time:
             batch.append(heapq.heappop(heap)[3])
-        return batch
-
-
-class CalendarEventQueue:
-    """A calendar-queue alternative to :class:`EventQueue`.
-
-    Events are binned into fixed-width time buckets (a classic calendar
-    queue); each bucket is a small heap, and a lazily-cleaned heap of
-    bucket indices tracks the earliest non-empty bucket.  Pushing into
-    the current simulation era touches a bucket of a few events instead
-    of a heap of all pending events, which is the structure's claim to
-    fame; ``benchmarks/bench_engine.py`` measures whether that pays off
-    against :mod:`heapq`'s C implementation on our workloads.
-
-    The interface and the ``(time, kind, seq)`` total order are
-    identical to :class:`EventQueue` — a simulation produces the same
-    bytes on either queue (asserted by the engine test suite) — so the
-    engine can swap them behind ``SimConfig.event_queue``.
-
-    Parameters
-    ----------
-    bucket_width:
-        Bucket span in simulated seconds.  Correct for any positive
-        width; only performance depends on it.
-    """
-
-    def __init__(self, bucket_width: float = 64.0) -> None:
-        if not math.isfinite(bucket_width) or bucket_width <= 0:
-            raise SimulationError(
-                f"bucket_width must be positive and finite, "
-                f"got {bucket_width!r}"
-            )
-        self._width = float(bucket_width)
-        self._buckets: Dict[int, List[_Entry]] = {}
-        self._bucket_heap: List[int] = []
-        self._seq = itertools.count()
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __bool__(self) -> bool:
-        return self._size > 0
-
-    def push(self, time: float, kind: EventKind, payload: Any = None) -> Event:
-        """Schedule an event; returns the created :class:`Event`."""
-        if not math.isfinite(time):
-            raise SimulationError(f"event time must be finite, got {time!r}")
-        seq = next(self._seq)
-        event = Event(time, kind, seq, payload)
-        idx = int(time // self._width)
-        bucket = self._buckets.get(idx)
-        if bucket is None:
-            self._buckets[idx] = bucket = []
-            heapq.heappush(self._bucket_heap, idx)
-        heapq.heappush(bucket, (time, kind, seq, event))
-        self._size += 1
-        return event
-
-    def _min_bucket(self) -> Optional[List[_Entry]]:
-        """The earliest non-empty bucket, discarding drained ones.
-
-        Bucket indices order consistently with event times (all events
-        in bucket *i* precede all events in bucket *j* > *i*), so the
-        index heap's minimum live entry holds the global minimum event.
-        """
-        heap = self._bucket_heap
-        while heap:
-            bucket = self._buckets.get(heap[0])
-            if bucket:
-                return bucket
-            self._buckets.pop(heapq.heappop(heap), None)
-        return None
-
-    def pop(self) -> Event:
-        """Remove and return the earliest event."""
-        bucket = self._min_bucket()
-        if bucket is None:
-            raise SimulationError("pop from an empty event queue")
-        self._size -= 1
-        return heapq.heappop(bucket)[3]
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest event, or None when empty."""
-        bucket = self._min_bucket()
-        return bucket[0][0] if bucket else None
-
-    def pop_batch(self) -> List[Event]:
-        """Pop *all* events sharing the earliest timestamp (equal times
-        always share a bucket, so the batch drains from one heap)."""
-        if self._size == 0:
-            raise SimulationError("pop_batch from an empty event queue")
-        first = self.pop()
-        batch = [first]
-        bucket = self._min_bucket()
-        while bucket and bucket[0][0] == first.time:
-            batch.append(heapq.heappop(bucket)[3])
-            self._size -= 1
         return batch

@@ -8,6 +8,7 @@ checking) never fragment the cache.
 """
 
 
+from repro.experiments import fig4_outages
 from repro.experiments.context import RunContext
 from repro.faults import FaultModel, RetryPolicy
 from repro.store import RunStore
@@ -126,3 +127,24 @@ class TestInvariantFlagSharesEntries:
         a = checked.native_result_for("ross")
         assert plain.native_result_for("ross") is a
         assert store.hits == 1
+
+
+class TestFig4OutagesThroughTheStore:
+    def test_warm_pass_recomputes_nothing(self, micro_scale, tmp_path):
+        cold = RunContext(scale=micro_scale, store=RunStore(tmp_path / "r"))
+        text = fig4_outages.run(cold).render()
+        assert cold.store.misses == 2  # trace + the hourly series
+        warm = RunContext(scale=micro_scale, store=RunStore(tmp_path / "r"))
+        assert fig4_outages.run(warm).render() == text
+        assert warm.store.misses == 0 and warm.store.disk_hits == 2
+
+    def test_checked_run_has_its_own_entry(self, micro_scale, tmp_path):
+        store = RunStore(tmp_path / "r")
+        text = fig4_outages.run(
+            RunContext(scale=micro_scale, store=store)
+        ).render()
+        checked = RunContext(
+            scale=micro_scale, store=store, check_invariants=True
+        )
+        assert fig4_outages.run(checked).render() == text
+        assert store.misses == 3  # trace, unchecked and checked series

@@ -48,6 +48,26 @@ def test_nominal_width_beyond_machine(machine) -> None:
         project.make_job(machine)
 
 
+def test_make_jobs_validates_once_and_keeps_the_error(machine) -> None:
+    project = _project(cpus_per_job=64)
+    with pytest.raises(
+        ValidationError,
+        match=r"requires jobs of 64 CPUs but SmallBox has only 32",
+    ):
+        project.make_jobs(machine, 5)
+    calls = []
+
+    class Counting(InterstitialProject):
+        def validate_for(self, target):
+            calls.append(target)
+            super().validate_for(target)
+
+    jobs = Counting(n_jobs=4, cpus_per_job=16, runtime_1ghz=100.0).make_jobs(
+        machine, 5
+    )
+    assert len(jobs) == 5 and calls == [machine]
+
+
 def test_elastic_max_width_beyond_machine(machine) -> None:
     project = _project(min_width=4, max_width=64)
     with pytest.raises(ValidationError, match="SmallBox"):

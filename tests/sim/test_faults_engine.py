@@ -266,15 +266,22 @@ class TestReproducibility:
 
 
 class TestInvariantChecking:
-    def test_config_flag_controls_checking(self):
-        assert SimConfig(check_invariants=True).invariants_enabled
-        assert not SimConfig(check_invariants=False).invariants_enabled
+    def test_config_flag_controls_checking(self, tiny_machine):
+        for flag in (True, False):
+            engine = Engine(
+                tiny_machine,
+                fcfs(),
+                trace=[make_job(cpus=2, runtime=10.0)],
+                config=SimConfig(check_invariants=flag),
+            )
+            checks = engine.run().counters.invariant_checks
+            assert (checks > 0) is flag
 
     def test_off_by_default_with_no_process_global(self):
         # The old process-wide default was removed with the RunContext
         # refactor: checking is a plain per-config flag, off unless the
         # caller threads it through explicitly.
-        assert not SimConfig().invariants_enabled
+        assert not SimConfig().check_invariants
         import repro.sim.engine as engine_mod
 
         assert not hasattr(engine_mod, "set_default_invariant_checking")
